@@ -440,32 +440,6 @@ def _cmd_lint(args: argparse.Namespace) -> int:
     return 1 if findings else 0
 
 
-def _precompute_distances(text: str):
-    """Parse ``--precompute``: 'table1', 'none', or comma-separated metres."""
-    from .config import TABLE_I_SPACE as space
-    from .errors import ConfigurationError
-
-    cleaned = text.strip().lower()
-    if cleaned == "none":
-        return ()
-    if cleaned == "table1":
-        return space.distances_m
-    try:
-        distances = tuple(
-            float(part) for part in cleaned.split(",") if part.strip()
-        )
-    except ValueError:
-        raise ConfigurationError(
-            f"--precompute must be 'table1', 'none', or comma-separated "
-            f"distances in metres, got {text!r}"
-        ) from None
-    if not distances:
-        raise ConfigurationError(
-            f"--precompute names no distances: {text!r}"
-        )
-    return distances
-
-
 def _cmd_serve(args: argparse.Namespace) -> int:
     from .core.optimization import TuningGrid
     from .serve import Oracle, OracleService, make_server
@@ -480,13 +454,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         policy=args.policy,
         snr_quantum_db=args.snr_quantum_db,
     )
-    if args.precompute:
-        print(
-            f"precomputing {len(args.precompute)} sweep table(s) "
-            f"({len(grid)} configurations each) ...",
-            file=sys.stderr,
-        )
-        oracle.precompute(args.precompute)
     if args.policy:
         # Only the default objective eagerly (keeps startup inside the CI
         # health-check budget); other objectives compile on first use.
@@ -958,15 +925,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--retry-after-s", type=float, default=1.0,
                    help="back-off hint on 503 rejections")
     p.add_argument("--lru-capacity", type=int, default=64,
-                   help="off-grid links kept in the LRU table cache")
+                   help="reference-SNR bins whose sweep tables the LRU "
+                        "keeps (answers the policy cannot give)")
     p.add_argument("--payload-step", type=int, default=2,
                    help="payload quantization of the tuning grid (bytes); "
                         "larger steps trade answer granularity for "
                         "faster cold builds")
-    p.add_argument("--precompute", type=_precompute_distances,
-                   default="table1", metavar="table1|none|D1,D2,...",
-                   help="tier-1 sweep tables built at startup "
-                        "(default: the Table I distances)")
     p.add_argument("--verbose", action="store_true",
                    help="log every HTTP request")
     p.add_argument("--telemetry-links", type=int, default=0,
@@ -982,8 +946,8 @@ def build_parser() -> argparse.ArgumentParser:
                         "O(1) SNR policy tables (--no-policy restores the "
                         "solver-per-request path)")
     p.add_argument("--snr-quantum-db", type=float, default=0.25,
-                   help="SNR bin width of the policy tables and the "
-                        "quantized cache keys")
+                   help="width of the reference-SNR bins every answer "
+                        "is keyed by (policy tables and LRU alike)")
     p.set_defaults(func=_cmd_serve)
 
     p = sub.add_parser("fleet", help="simulate a deployment of drifting "

@@ -461,7 +461,12 @@ class PolicyTable:
         Raises the stored-minima :class:`InfeasibleError` for infeasible
         bins and :class:`OptimizationError` for SNRs off the axis.
         """
-        index = self.bin_index(snr_db)
+        return self.answer_at(self.bin_index(snr_db), distance_m)
+
+    def answer_at(
+        self, index: int, distance_m: Optional[float] = None
+    ) -> ConfigEvaluation:
+        """The stored answer of one axis-relative bin (see :meth:`lookup`)."""
         if not self.feasible[index]:
             raise self.infeasible_error_at(index)
         metrics = self.winner_metrics

@@ -17,7 +17,6 @@ import numpy as np
 
 from ..channel.environment import Environment
 from ..errors import FleetError
-from ..radio import cc2420
 from ..serve.protocol import LinkSpec
 from .topology import FleetTopology
 
@@ -30,21 +29,10 @@ __all__ = [
 def link_base_snr_db(link: LinkSpec, environment: Environment) -> float:
     """A link's long-run mean SNR (dB) at reference PA level 31.
 
-    Matches :meth:`LinkSpec.snr_map` exactly at level 31: a reference-SNR
-    link contributes its ``snr_db`` shifted to level 31 (a no-op for the
-    default ``reference_level=31``), a distance link resolves through the
-    environment's path-loss and mean noise models. The engine recovers
-    every other level's SNR by adding the affine output-power offset.
+    The engine recovers every other level's SNR by adding the affine
+    output-power offset; see :meth:`LinkSpec.reference_snr_db`.
     """
-    reference_dbm = cc2420.output_power_dbm(31)
-    if link.snr_db is not None:
-        return link.snr_db + (
-            reference_dbm - cc2420.output_power_dbm(link.reference_level)
-        )
-    return (
-        environment.pathloss.mean_rssi_dbm(reference_dbm, link.distance_m)
-        - environment.noise.mean_dbm
-    )
+    return link.reference_snr_db(environment)
 
 
 @dataclass

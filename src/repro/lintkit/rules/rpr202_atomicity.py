@@ -5,7 +5,7 @@ Taking the right lock is not enough if the *decision* and the *action*
 happen in different critical sections. ``if key in self._table: ...``
 under one ``with self._lock:`` followed by ``self._table[key] = value``
 under a second one lets another thread change the table in the gap — the
-classic lost-update on the oracle's precomputed-table install. Likewise
+classic lost-update on a lazily installed cache entry. Likewise
 ``self._hits += 1`` without the lock is a read-modify-write that loses
 increments under contention even though single opcodes look atomic.
 

@@ -11,7 +11,8 @@ batched, and backpressured. Layering, top to bottom::
     client    in-process dict-in/dict-out facade — repro.serve.client
     service   bounded queue, micro-batching, worker pool, deadlines —
               repro.serve.service
-    oracle    two-tier sweep-table cache + vectorized solves —
+    oracle    answers keyed by the reference-SNR bin: policy lookups
+              plus one bin-keyed LRU of sweep tables —
               repro.serve.oracle / repro.serve.cache
     models    repro.core.optimization (unchanged)
 
@@ -19,8 +20,7 @@ Start one with ``wsnlink serve --port 8080`` or in-process::
 
     from repro.serve import Client, Oracle, OracleService
 
-    oracle = Oracle()
-    oracle.precompute([10.0])          # tier-1 table for the 10 m link
+    oracle = Oracle(policy=True)
     with OracleService(oracle) as service:
         client = Client(service)
         answer = client.recommend({"link": {"distance_m": 10.0},
@@ -45,7 +45,6 @@ from .oracle import (
     TIER_LRU,
     TIER_MISS,
     TIER_POLICY,
-    TIER_PRECOMPUTED,
 )
 from .protocol import (
     FLEET_ROUTING_STRATEGIES,
@@ -96,7 +95,6 @@ __all__ = [
     "TelemetryRequest",
     "TIER_MISS",
     "TIER_POLICY",
-    "TIER_PRECOMPUTED",
     "evaluation_as_dict",
     "make_server",
     "parse_evaluate",

@@ -1,12 +1,11 @@
 """Thread-safe LRU cache with hit/miss accounting.
 
-The oracle's second cache tier: precomputed sweep tables cover the
-discretized Table-I links, and everything off-grid (arbitrary distances,
-reference-SNR links) lands here. Entries are whole
+The oracle's table cache: every answer the policy cannot give is solved
+from a sweep table built at the link's reference-SNR bin center, and the
+table lands here keyed by that bin. Entries are whole
 :class:`~repro.serve.oracle.SweepTable` objects — the expensive artefact
-is the table, not any single answer derived from it — so one cached link
-serves every objective/constraint combination asked about it.
-"""
+is the table, not any single answer derived from it — so one cached bin
+serves every link, objective and constraint set that maps to it."""
 
 from __future__ import annotations
 

@@ -143,8 +143,8 @@ class Client:
         """The counters/histograms snapshot ``GET /metrics`` serves.
 
         The oracle's policy-tier counters are merged in as ``policy_*``
-        counters (plus the full ``policy`` block with the bin-hit rate),
-        so one scrape shows whether the hot path is actually lookup-bound.
+        counters (plus the full ``policy`` block), so one scrape shows
+        whether the hot path is actually lookup-bound.
         """
         data = self.service.metrics.as_dict()
         policy = self.service.oracle.policy_info()
@@ -156,8 +156,6 @@ class Client:
                 "policy_compiles_total": policy["compiles"],
                 "policy_solver_solves_total": policy["solver_solves"],
                 "policy_table_bytes": policy["table_bytes"],
-                "policy_bin_lookups_total": policy["bin_lookups"],
-                "policy_bin_hits_total": policy["bin_hits"],
             }
         )
         data["counters"] = dict(sorted(counters.items()))

@@ -1,38 +1,31 @@
 """The oracle: cached, vectorized answers to link-configuration queries.
 
-A :class:`SweepTable` is one link's entire evaluated tuning grid — a
-columnar :class:`~repro.core.optimization.GridEvaluation` produced by the
+A :class:`SweepTable` is one evaluated tuning grid — a columnar
+:class:`~repro.core.optimization.GridEvaluation` produced by the
 vectorized kernels, so both the build (one broadcast pass over all
 configurations) and the epsilon-constraint solve of a query (a masked
-argmin) are numpy operations rather than Python scans. An :class:`Oracle`
-answers ``recommend`` and ``evaluate`` requests out of a two-tier table
-cache:
+argmin) are numpy operations rather than Python scans.
 
-* **tier 0 (policy, opt-in)** — precompiled
-  :class:`~repro.core.optimization.PolicyTable` answers covering the
-  whole SNR axis: a default-bounds recommend becomes an O(1) bin lookup
-  that never touches the solver, independent of grid size;
-* **tier 1 (precomputed)** — tables for the discretized Table-I distances,
-  built once at startup (``precompute``) and never evicted;
-* **tier 2 (LRU)** — tables for off-grid links (arbitrary distances,
-  reference-SNR links), built on first use and bounded by
-  ``lru_capacity``.
+Every answer has one key: the link's **reference-SNR bin**, its SNR at
+PA level 31 quantized to ``snr_quantum_db``. A distance link reaches it
+through the environment's channel model, an SNR link by shifting from
+its ``reference_level`` to 31 — the paper states its findings as
+functions of SNR, not geometry. An :class:`Oracle` answers from that key
+in one of two ways:
 
-A cold query costs one columnar grid evaluation (single-digit
-milliseconds for the default 4560 configurations — the ``grid_eval_ms``
-histogram in ``/metrics`` tracks the real cost); a warm one costs a
-dictionary lookup plus a vectorized argmin (microseconds); a policy hit
-costs a handful of array reads. The service layer on top batches
-compatible cold queries so the grid evaluation is paid once per link,
-not once per request.
+* **policy** (opt-in) — a precompiled
+  :class:`~repro.core.optimization.PolicyTable` holds the unconstrained
+  answer of every bin on its axis, so a default-bounds recommend is an
+  O(1) lookup that never touches the solver;
+* **table** — everything else (constraints, bins off the policy axis, a
+  policy-less oracle) solves a :class:`SweepTable` built at the bin
+  center and kept in one LRU keyed by the bin (``lru_capacity`` bins).
 
-With the policy enabled the LRU is demoted to a fallback for requests
-the tables cannot serve — non-default constraint bounds and SNRs off the
-compiled axis — and reference-SNR cache keys are quantized to the policy
-bin, so two requests 0.01 dB apart share one table instead of missing
-each other (``bin_hit_rate`` in ``/metrics``). Answers for quantized
-links are the bin-center answers: exact at bin centers, and within the
-same quantization the fleet engine applies everywhere.
+Both return the bin-center answer, bit for bit what ``PolicyTable``
+gives, with the configuration restamped at the link's own distance. A
+cold bin costs one columnar grid evaluation (the ``grid_eval_ms``
+histogram in ``/metrics`` tracks it); a warm one a dictionary lookup
+plus a vectorized argmin; a policy hit a handful of array reads.
 """
 
 # reprolint: hot-path — recommend/evaluate loop timed by BENCH_serve.json
@@ -40,19 +33,17 @@ from __future__ import annotations
 
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
-from typing import Dict, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..channel.environment import Environment, HALLWAY_2012
-from ..config import TABLE_I_SPACE
-from ..errors import InfeasibleError, ProtocolError, RoutingError
+from ..errors import InfeasibleError, ProtocolError, RoutingError, ServeError
 from ..core.optimization import (
     DEFAULT_SNR_QUANTUM_DB,
     DEFAULT_SNR_RANGE_DB,
-    REFERENCE_LEVEL,
     ConfigEvaluation,
     Constraint,
     GridEvaluation,
@@ -60,12 +51,12 @@ from ..core.optimization import (
     PolicyTable,
     TuningGrid,
     evaluate_grid_columns,
+    snr_map_from_reference,
     solve_epsilon_constraint,
 )
 from .cache import CacheStats, LruCache
 from .metrics import DEFAULT_BUCKETS_MS, LatencyHistogram
 from .protocol import (
-    OBJECTIVES,
     EvaluateRequest,
     FleetRecommendRequest,
     LinkSpec,
@@ -75,7 +66,6 @@ from .protocol import (
 
 __all__ = [
     "TIER_POLICY",
-    "TIER_PRECOMPUTED",
     "TIER_LRU",
     "TIER_MISS",
     "SweepTable",
@@ -87,9 +77,28 @@ __all__ = [
 
 #: Cache tier names reported per answer (and counted in ``/metrics``).
 TIER_POLICY = "policy"
-TIER_PRECOMPUTED = "precomputed"
 TIER_LRU = "lru"
 TIER_MISS = "miss"
+
+#: Distance stamped on bin-center tables: the one SNR links report (the
+#: default of :meth:`LinkSpec.grid_distance_m`). It is inert — SNR alone
+#: drives the models — and answers are restamped at each link's distance.
+_TABLE_DISTANCE_M = 10.0
+
+#: One fleet answer in in-band form: (evaluation, infeasibility message,
+#: cache tier), exactly one of the first two set.
+_Answer = Tuple[Optional[ConfigEvaluation], Optional[str], str]
+
+
+def _at_distance(
+    evaluation: ConfigEvaluation, distance_m: float
+) -> ConfigEvaluation:
+    """The same answer with its configuration stamped at ``distance_m``."""
+    if evaluation.config.distance_m == distance_m:
+        return evaluation
+    return replace(
+        evaluation, config=replace(evaluation.config, distance_m=distance_m)
+    )
 
 
 @dataclass(frozen=True)
@@ -125,13 +134,6 @@ class SweepTable:
     def evaluations(self) -> Tuple[ConfigEvaluation, ...]:
         """Scalar rows in grid order (materialized on first access)."""
         return tuple(self.grid_eval.rows())
-
-    @property
-    def columns(self) -> Mapping[str, np.ndarray]:
-        """Objective name → minimization-form column, for every objective."""
-        return {
-            name: self.grid_eval.objective_column(name) for name in OBJECTIVES
-        }
 
     def column(self, objective: str) -> np.ndarray:
         """The minimization-form values of one objective across the grid."""
@@ -216,8 +218,8 @@ class FleetRecommendResult:
     evaluations: Tuple[Optional[ConfigEvaluation], ...]
     errors: Tuple[Optional[str], ...]
     cache_tiers: Tuple[str, ...]
-    #: Distinct cache keys in the batch = sweep tables fetched (and, for
-    #: shared objectives, vectorized solves run) to answer it.
+    #: Distinct reference-SNR bins in the batch = policy lookups plus
+    #: table fetches (each with one vectorized solve) run to answer it.
     n_unique_links: int = 0
     #: Path composition over the request's routing block, when present.
     routing: Optional[FleetRoutingSummary] = None
@@ -239,11 +241,11 @@ class FleetRecommendResult:
 
 
 class Oracle:
-    """Answers recommend/evaluate queries from the two-tier table cache.
+    """Answers recommend/evaluate queries keyed by the reference-SNR bin.
 
-    Thread-safe: tier bookkeeping is done under a lock, while the expensive
-    table builds run outside it so concurrent queries for *different* links
-    proceed in parallel.
+    Thread-safe: bookkeeping is done under a lock, while the expensive
+    table builds run outside it so concurrent queries for *different*
+    bins proceed in parallel.
     """
 
     def __init__(
@@ -261,15 +263,16 @@ class Oracle:
         self.grid = grid if grid is not None else TuningGrid()
         self.policy = bool(policy)
         self.snr_quantum_db = float(snr_quantum_db)
+        if not (np.isfinite(self.snr_quantum_db) and self.snr_quantum_db > 0):
+            raise ServeError(
+                f"snr_quantum_db must be positive, got {snr_quantum_db!r}"
+            )
         self.policy_snr_range_db = (
             float(policy_snr_range_db[0]),
             float(policy_snr_range_db[1]),
         )
-        self._precomputed: Dict[Tuple[object, ...], SweepTable] = {}
         self._lru = LruCache(lru_capacity)
         self._lock = threading.Lock()
-        self._precomputed_hits = 0
-        self._misses = 0
         self._builds = 0
         #: objective → compiled unconstrained policy (lazy, under
         #: ``_policy_lock`` so a compile never blocks table traffic).
@@ -279,8 +282,6 @@ class Oracle:
         self._policy_fallbacks = 0
         self._policy_compiles = 0
         self._solver_solves = 0
-        self._bin_lookups = 0
-        self._bin_hits = 0
         #: Cold grid-evaluation latency (ms), one observation per table
         #: build. The service layer registers this into ``/metrics`` as
         #: ``grid_eval_ms`` so cache-miss cost is visible in production.
@@ -291,83 +292,38 @@ class Oracle:
 
     # ------------------------------------------------------------ caching
 
-    def precompute(
-        self, distances_m: Sequence[float] = TABLE_I_SPACE.distances_m
-    ) -> int:
-        """Build tier-1 tables for the given link distances; returns count."""
-        built = 0
-        for distance in distances_m:
-            built += self._precompute_one(LinkSpec(distance_m=float(distance)))
-        return built
+    def _snr_bin(self, link: LinkSpec) -> int:
+        """The link's reference-SNR bin: the one key of every answer.
 
-    def _precompute_one(self, link: LinkSpec) -> int:
-        """Install one tier-1 table; 0 when the link already has one."""
-        key = link.key()
-        with self._lock:
-            if key in self._precomputed:
-                return 0
-        table = self._build_table(link)
-        with self._lock:
-            if key in self._precomputed:
-                return 0  # lost the build race; keep the installed table
-            self._precomputed[key] = table
-        return 1
+        ``round`` ties to even exactly like the ``np.round`` that places
+        :class:`PolicyTable` bins, so both agree on every SNR.
+        """
+        return round(
+            link.reference_snr_db(self.environment) / self.snr_quantum_db
+        )
 
-    def _build_table(self, link: LinkSpec) -> SweepTable:
-        evaluator = ModelEvaluator(snr_by_level=link.snr_map(self.environment))
+    def _build_table(self, snr_bin: int) -> SweepTable:
+        """A fresh table at the bin center (outside every lock)."""
+        center_db = snr_bin * self.snr_quantum_db
+        evaluator = ModelEvaluator(snr_by_level=snr_map_from_reference(center_db))
         with self._lock:
             self._builds += 1
-        table = SweepTable.build(
-            evaluator, self.grid, link.grid_distance_m()
-        )
+        table = SweepTable.build(evaluator, self.grid, _TABLE_DISTANCE_M)
         self.grid_eval_ms.observe(table.build_ms)
         return table
 
-    def _bin_link(self, link: LinkSpec) -> Optional[LinkSpec]:
-        """The link snapped to its policy SNR bin, or None when not binnable.
-
-        Only reference-SNR links on a policy-enabled oracle are binned;
-        distance links keep their exact keys.
-        """
-        if not self.policy or link.snr_db is None:
-            return None
-        quantum = self.snr_quantum_db
-        return LinkSpec(
-            snr_db=float(np.round(link.snr_db / quantum) * quantum)
-        )
-
     def table_for(self, link: LinkSpec) -> Tuple[SweepTable, str]:
-        """The link's sweep table and the cache tier that supplied it.
+        """The sweep table of the link's bin and the tier that supplied it.
 
         A miss builds the table (outside the lock) and installs it in the
-        LRU tier; the caller is told ``"miss"`` so per-request accounting
-        can distinguish cold from warm answers. On a policy-enabled
-        oracle, reference-SNR cache keys are quantized to the policy SNR
-        bin first, so near-identical SNRs share one table.
+        LRU; the caller is told ``"miss"`` so per-request accounting can
+        distinguish cold from warm answers.
         """
-        binned = self._bin_link(link)
-        if binned is None:
-            return self._table_for(link)
-        table, tier = self._table_for(binned)
-        with self._lock:
-            self._bin_lookups += 1
-            if tier != TIER_MISS:
-                self._bin_hits += 1
-        return table, tier
-
-    def _table_for(self, link: LinkSpec) -> Tuple[SweepTable, str]:
-        key = link.key()
-        with self._lock:
-            table = self._precomputed.get(key)
-            if table is not None:
-                self._precomputed_hits += 1
-                return table, TIER_PRECOMPUTED
+        key = self._snr_bin(link)
         cached = self._lru.get(key)
         if cached is not None:
             return cached, TIER_LRU  # type: ignore[return-value]
-        with self._lock:
-            self._misses += 1
-        table = self._build_table(link)
+        table = self._build_table(key)
         self._lru.put(key, table)
         return table, TIER_MISS
 
@@ -400,11 +356,10 @@ class Oracle:
             self.policy_for(objective)
         return len(objectives)
 
-    def _reference_snr_db(self, link: LinkSpec) -> float:
-        """The link's SNR at the policy reference PA level (dB)."""
-        if link.snr_db is not None:
-            return float(link.snr_db)
-        return float(link.snr_map(self.environment)[REFERENCE_LEVEL])
+    def _count_policy(self, lookups: int = 0, fallbacks: int = 0) -> None:
+        with self._lock:
+            self._policy_lookups += lookups
+            self._policy_fallbacks += fallbacks
 
     def policy_recommend(
         self, request: RecommendRequest
@@ -413,44 +368,25 @@ class Oracle:
 
         None — a counted fallback — when the oracle has no policy, the
         request carries non-default constraint bounds, or the link's
-        reference SNR falls off the compiled axis. An infeasible bin
+        reference-SNR bin falls off the compiled axis. An infeasible bin
         raises the stored :class:`~repro.errors.InfeasibleError`, byte
         for byte what the solver would have said.
         """
         if not self.policy:
             return None
-        if request.constraints:
-            with self._lock:
-                self._policy_fallbacks += 1
-            return None
-        table = self.policy_for(request.objective)
-        snr_db = self._reference_snr_db(request.link)
-        if not table.covers(snr_db):
-            with self._lock:
-                self._policy_fallbacks += 1
-            return None
-        with self._lock:
-            self._policy_lookups += 1
-        evaluation = table.lookup(snr_db, request.link.grid_distance_m())
-        return RecommendResult(evaluation=evaluation, cache_tier=TIER_POLICY)
-
-    def _policy_answer(
-        self,
-        link: LinkSpec,
-        objective: str,
-        constraints: Tuple[Constraint, ...],
-    ) -> Optional[Tuple[Optional[ConfigEvaluation], Optional[str], str]]:
-        """One fleet link's policy answer in in-band-error form, or None."""
-        request = RecommendRequest(
-            link=link, objective=objective, constraints=constraints
-        )
-        try:
-            result = self.policy_recommend(request)
-        except InfeasibleError as exc:
-            return (None, str(exc), TIER_POLICY)
-        if result is None:
-            return None
-        return (result.evaluation, None, TIER_POLICY)
+        if not request.constraints:
+            table = self.policy_for(request.objective)
+            local = self._snr_bin(request.link) - table.bin_origin
+            if 0 <= local < len(table):
+                self._count_policy(lookups=1)
+                evaluation = table.answer_at(
+                    local, request.link.grid_distance_m()
+                )
+                return RecommendResult(
+                    evaluation=evaluation, cache_tier=TIER_POLICY
+                )
+        self._count_policy(fallbacks=1)
+        return None
 
     def _solve_table(
         self,
@@ -472,8 +408,6 @@ class Oracle:
             fallbacks = self._policy_fallbacks
             compiles = self._policy_compiles
             solver_solves = self._solver_solves
-            bin_lookups = self._bin_lookups
-            bin_hits = self._bin_hits
         with self._policy_lock:
             tables = dict(self._policies)
         return {
@@ -486,26 +420,16 @@ class Oracle:
             "fallbacks": fallbacks,
             "compiles": compiles,
             "solver_solves": solver_solves,
-            "bin_lookups": bin_lookups,
-            "bin_hits": bin_hits,
-            "bin_hit_rate": (bin_hits / bin_lookups) if bin_lookups else 0.0,
             "compile_ms": self.policy_compile_ms.as_dict(),
         }
 
     def cache_info(self) -> Dict[str, object]:
-        """Counters for all tiers, JSON-ready (see ``/metrics``)."""
+        """Counters for the LRU and the policy, JSON-ready (``/healthz``)."""
         with self._lock:
-            precomputed = {
-                "tables": len(self._precomputed),
-                "hits": self._precomputed_hits,
-            }
-            misses = self._misses
             builds = self._builds
         lru: CacheStats = self._lru.stats()
         return {
-            "precomputed": precomputed,
             "lru": lru.as_dict(),
-            "misses": misses,
             "table_builds": builds,
             "grid_size": len(self.grid),
             "grid_eval_ms": self.grid_eval_ms.as_dict(),
@@ -518,16 +442,14 @@ class Oracle:
         """Best grid configuration for the request's link and objective.
 
         Policy-first: with the policy enabled, a default-bounds request
-        is answered by an O(1) bin lookup; everything else goes through
-        the two-tier table cache and the vectorized solver.
+        on the axis is an O(1) bin lookup; everything else solves the
+        bin's sweep table.
         """
         result = self.policy_recommend(request)
         if result is not None:
             return result
         table, tier = self.table_for(request.link)
-        evaluation = self._solve_table(
-            table, request.objective, request.constraints
-        )
+        evaluation = self.recommend_from_table(table, request)
         return RecommendResult(evaluation=evaluation, cache_tier=tier)
 
     def recommend_from_table(
@@ -539,59 +461,77 @@ class Oracle:
         compatible requests, then each request's objective/constraints are
         solved here without touching the cache again.
         """
-        return self._solve_table(table, request.objective, request.constraints)
+        evaluation = self._solve_table(
+            table, request.objective, request.constraints
+        )
+        return _at_distance(evaluation, request.link.grid_distance_m())
 
     def recommend_fleet(
         self, request: FleetRecommendRequest
     ) -> FleetRecommendResult:
-        """Answer a whole fleet batch with one solve per *distinct* link.
+        """Answer a whole fleet batch with one answer per *distinct bin*.
 
-        Links are grouped by cache key, each distinct link costs one
-        two-tier table lookup (a columnar grid evaluation at worst) plus
-        one vectorized epsilon-constraint solve — the shared objective and
-        constraints make every duplicate link a pure scatter. A link with
-        no feasible configuration records its
-        :class:`~repro.errors.InfeasibleError` message in-band; any other
-        failure aborts the batch.
+        The links' bins are grouped with ``np.unique``; an unconstrained
+        bin on the policy axis is a lookup, every other bin costs one
+        table fetch plus one vectorized solve, and each distinct
+        (bin, distance) pair gets one :class:`ConfigEvaluation` that is
+        scattered back to its links. A bin with no feasible configuration
+        records its :class:`~repro.errors.InfeasibleError` message
+        in-band; any other failure aborts the batch.
         """
-        distinct: Dict[Tuple[object, ...], LinkSpec] = {}
-        for link in request.links:
-            distinct.setdefault(link.key(), link)
-        answers: Dict[Tuple[object, ...], Tuple[
-            Optional[ConfigEvaluation], Optional[str], str
-        ]] = {}
-        for key, link in distinct.items():
-            answer = self._policy_answer(
-                link, request.objective, request.constraints
+        slots: Dict[LinkSpec, int] = {}
+        link_slot = [slots.setdefault(link, len(slots)) for link in request.links]
+        distinct = list(slots)
+        bins, first_slot, slot_bin = np.unique(
+            [self._snr_bin(link) for link in distinct],
+            return_index=True,
+            return_inverse=True,
+        )
+        slot_bin = slot_bin.reshape(-1).tolist()
+        on_axis = np.zeros(len(bins), dtype=bool)
+        if self.policy:
+            if not request.constraints:
+                policy = self.policy_for(request.objective)
+                on_axis = policy.in_axis(bins - policy.bin_origin)
+            n_lookups = int(np.count_nonzero(on_axis))
+            self._count_policy(
+                lookups=n_lookups, fallbacks=len(bins) - n_lookups
             )
-            if answer is not None:
-                answers[key] = answer
-                continue
-            table, tier = self.table_for(link)
+        answers: List[_Answer] = []
+        for index, snr_bin in enumerate(bins.tolist()):
             try:
-                evaluation = self._solve_table(
-                    table, request.objective, request.constraints
-                )
+                if on_axis[index]:
+                    tier = TIER_POLICY
+                    evaluation = policy.answer_at(snr_bin - policy.bin_origin)
+                else:
+                    table, tier = self.table_for(distinct[first_slot[index]])
+                    evaluation = self._solve_table(
+                        table, request.objective, request.constraints
+                    )
             except InfeasibleError as exc:
-                answers[key] = (None, str(exc), tier)
+                answers.append((None, str(exc), tier))
             else:
-                answers[key] = (evaluation, None, tier)
-        evaluations = []
-        errors = []
-        tiers = []
-        for link in request.links:
-            evaluation, error, tier = answers[link.key()]
-            evaluations.append(evaluation)
-            errors.append(error)
-            tiers.append(tier)
+                answers.append((evaluation, None, tier))
+        by_pair: Dict[Tuple[int, float], _Answer] = {}
+        per_slot = []
+        for link, index in zip(distinct, slot_bin):
+            distance_m = link.grid_distance_m()
+            answer = by_pair.get((index, distance_m))
+            if answer is None:
+                evaluation, error, tier = answers[index]
+                if evaluation is not None:
+                    evaluation = _at_distance(evaluation, distance_m)
+                answer = by_pair[(index, distance_m)] = (evaluation, error, tier)
+            per_slot.append(answer)
+        evaluations, errors, tiers = zip(*(per_slot[slot] for slot in link_slot))
         routing = None
         if request.routing is not None:
             routing = self._routed_summary(request.routing, evaluations)
         return FleetRecommendResult(
-            evaluations=tuple(evaluations),
-            errors=tuple(errors),
-            cache_tiers=tuple(tiers),
-            n_unique_links=len(distinct),
+            evaluations=evaluations,
+            errors=errors,
+            cache_tiers=tiers,
+            n_unique_links=len(bins),
             routing=routing,
         )
 
@@ -688,14 +628,11 @@ class Oracle:
     def uncached_recommend(
         self, request: RecommendRequest
     ) -> ConfigEvaluation:
-        """Answer a recommend request with a fresh grid evaluation.
+        """Answer a recommend request from a fresh bin-center table.
 
         The reference (slow) path: used by tests to prove cached answers
         are identical, and by the throughput benchmark as the uncached
         baseline.
         """
-        return self._solve_table(
-            self._build_table(request.link),
-            request.objective,
-            request.constraints,
-        )
+        table = self._build_table(self._snr_bin(request.link))
+        return self.recommend_from_table(table, request)

@@ -24,6 +24,7 @@ from ..core.optimization import (
 )
 from ..channel.environment import Environment
 from ..errors import ConfigurationError, ProtocolError
+from ..radio import cc2420
 
 __all__ = [
     "FLEET_ROUTING_STRATEGIES",
@@ -56,9 +57,16 @@ OBJECTIVES: Tuple[str, ...] = (
     "rho",
 )
 
-#: Rounding applied to link floats when forming cache keys, so that two
-#: requests differing only by float noise (1e-9 m apart) share an entry.
+#: Rounding applied to link floats when forming micro-batch keys, so that
+#: two requests differing only by float noise (1e-9 m apart) batch together.
 _KEY_DECIMALS = 6
+
+#: Largest magnitude a link's ``distance_m`` or ``snr_db`` may take. Far
+#: past any physical link, and small enough that every derived SNR bin is
+#: a finite integer (1e308 would overflow the bin and the shadowing seed).
+_MAX_LINK_MAGNITUDE = 1e9
+
+_PA_LEVELS = frozenset(cc2420.PA_LEVELS)
 
 #: Most links one ``/v1/fleet/recommend`` batch may carry. Bounds worst-case
 #: work per request (and keeps a maximal batch body well under the HTTP
@@ -85,7 +93,8 @@ class LinkSpec:
     ``distance_m`` resolves SNR per power level through the channel model
     of the service's environment; ``snr_db`` instead assumes SNR tracks
     output power dB-for-dB from ``reference_level`` (the paper's case-study
-    convention). Exactly one of the two must be given.
+    convention). Exactly one of the two must be given, finite and at most
+    ``1e9`` in magnitude; ``reference_level`` must be a CC2420 PA level.
     """
 
     distance_m: Optional[float] = None
@@ -97,19 +106,53 @@ class LinkSpec:
             raise ProtocolError(
                 "a link spec needs exactly one of distance_m or snr_db"
             )
+        name = "snr_db" if self.distance_m is None else "distance_m"
+        value = getattr(self, name)
+        # NaN fails both comparisons, so it is rejected with the infinities.
+        if not -_MAX_LINK_MAGNITUDE <= value <= _MAX_LINK_MAGNITUDE:
+            raise ProtocolError(
+                f"{name} must be finite and at most "
+                f"{_MAX_LINK_MAGNITUDE:g} in magnitude, got {value!r}",
+                field=name,
+            )
         if self.distance_m is not None and self.distance_m <= 0:
             raise ProtocolError(
                 f"distance_m must be positive, got {self.distance_m!r}"
             )
+        if self.reference_level not in _PA_LEVELS:
+            raise ProtocolError(
+                f"reference_level must be a CC2420 PA level "
+                f"{list(cc2420.PA_LEVELS)}, got {self.reference_level!r}",
+                field="reference_level",
+            )
 
     def key(self) -> Tuple[object, ...]:
-        """Hashable cache key identifying this link (rounded floats)."""
+        """Hashable identity of this link (rounded floats), so the service
+        can batch requests about the same link."""
         if self.distance_m is not None:
             return ("distance", round(float(self.distance_m), _KEY_DECIMALS))
         return (
             "snr",
             round(float(self.snr_db), _KEY_DECIMALS),
             int(self.reference_level),
+        )
+
+    def reference_snr_db(self, environment: Environment) -> float:
+        """The link's SNR (dB) at the reference PA level 31.
+
+        Equals ``snr_map(environment)[31]``: a reference-SNR link is
+        shifted from its ``reference_level`` (a no-op at the default 31),
+        a distance link resolves through the environment's path-loss and
+        mean-noise models.
+        """
+        reference_dbm = cc2420.output_power_dbm(31)
+        if self.snr_db is not None:
+            return self.snr_db + (
+                reference_dbm - cc2420.output_power_dbm(self.reference_level)
+            )
+        return (
+            environment.pathloss.mean_rssi_dbm(reference_dbm, self.distance_m)
+            - environment.noise.mean_dbm
         )
 
     def snr_map(self, environment: Environment) -> Dict[int, float]:

@@ -252,10 +252,10 @@ class TestOraclePolicyTier:
             for snr_db in (6.0, 6.01)
         ]
         assert tiers == [TIER_MISS, TIER_LRU]
-        info = policy_oracle.policy_info()
-        assert info["bin_lookups"] == 2
-        assert info["bin_hits"] == 1
-        assert info["bin_hit_rate"] == 0.5
+        lru = policy_oracle.cache_info()["lru"]
+        assert lru["lookups"] == 2
+        assert lru["hits"] == 1
+        assert lru["hit_rate"] == 0.5
 
     def test_fleet_recommend_answers_from_the_policy(self, policy_oracle):
         request = FleetRecommendRequest(

@@ -121,14 +121,14 @@ class TestOracleFleet:
 
     def test_tier_counts_track_cache_state(self):
         oracle = Oracle(grid=TINY_GRID)
-        oracle.precompute([10.0])
+        oracle.recommend(RecommendRequest(link=LinkSpec(distance_m=10.0)))
         request = FleetRecommendRequest(
             links=(LinkSpec(distance_m=10.0), LinkSpec(distance_m=22.0))
         )
         first = oracle.recommend_fleet(request)
-        assert first.tier_counts() == {"precomputed": 1, "miss": 1}
+        assert first.tier_counts() == {"lru": 1, "miss": 1}
         second = oracle.recommend_fleet(request)
-        assert second.tier_counts() == {"precomputed": 1, "lru": 1}
+        assert second.tier_counts() == {"lru": 2}
 
 
 class TestClientAndService:

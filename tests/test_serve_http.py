@@ -218,3 +218,48 @@ class TestStructuredErrors:
             after["counters"].get("requests_rejected_protocol", 0)
             == rejected_before
         )
+
+
+class TestNonFiniteLinks:
+    """NaN / Infinity (which stdlib ``json`` parses) and bin-overflowing
+    magnitudes are 400s naming the field, and never cost a worker."""
+
+    @pytest.fixture
+    def server(self):
+        service = OracleService(Oracle(grid=TINY_GRID), workers=1)
+        http_server = make_server(service, host="127.0.0.1", port=0)
+        thread = threading.Thread(
+            target=http_server.serve_forever, daemon=True
+        )
+        thread.start()
+        yield http_server
+        http_server.shutdown()
+        http_server.server_close()
+        service.close()
+        thread.join(timeout=5.0)
+
+    @pytest.mark.parametrize("field", ["snr_db", "distance_m"])
+    @pytest.mark.parametrize(
+        "literal", ["NaN", "Infinity", "-Infinity", "1e308"]
+    )
+    def test_rejected_then_next_request_served(self, server, field, literal):
+        link = f'{{"{field}": {literal}}}'
+        for path, body in (
+            ("/v1/recommend", f'{{"link": {link}}}'),
+            ("/v1/fleet/recommend", f'{{"links": [{{"snr_db": 6.0}}, {link}]}}'),
+        ):
+            request = urllib.request.Request(
+                f"http://127.0.0.1:{server.port}{path}",
+                data=body.encode("utf-8"),
+                headers={"Content-Type": "application/json"},
+            )
+            with pytest.raises(urllib.error.HTTPError) as exc_info:
+                urllib.request.urlopen(request, timeout=10)
+            assert exc_info.value.code == 400
+            error = json.loads(exc_info.value.read())["error"]
+            assert error["type"] == "ProtocolError"
+            assert error["field"] == field
+            status, _ = post(
+                server, "/v1/recommend", {"link": {"snr_db": 6.0}}
+            )
+            assert status == 200

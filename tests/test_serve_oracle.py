@@ -24,7 +24,6 @@ from repro.serve import (
     SweepTable,
     TIER_LRU,
     TIER_MISS,
-    TIER_PRECOMPUTED,
 )
 
 
@@ -107,25 +106,15 @@ class TestOracleCaching:
         assert warm.cache_tier == TIER_LRU
         assert cold.evaluation == warm.evaluation == reference
 
-    def test_precomputed_tier_hit(self, oracle):
-        assert oracle.precompute([10.0]) == 1
-        result = oracle.recommend(
-            RecommendRequest(link=LinkSpec(distance_m=10.0))
-        )
-        assert result.cache_tier == TIER_PRECOMPUTED
-        # re-precomputing the same link is a no-op
-        assert oracle.precompute([10.0]) == 0
-
-    def test_precomputed_equals_lru_equals_uncached(self, oracle):
+    def test_lru_equals_uncached_across_oracles(self, oracle):
         request = RecommendRequest(
             link=LinkSpec(distance_m=15.0), objective="goodput"
         )
         uncached = oracle.uncached_recommend(request)
         lru = oracle.recommend(request).evaluation
-        oracle2 = Oracle(grid=SMALL_GRID)
-        oracle2.precompute([15.0])
-        precomputed = oracle2.recommend(request).evaluation
-        assert uncached == lru == precomputed
+        other = Oracle(grid=SMALL_GRID).recommend(request).evaluation
+        assert uncached == lru == other
+        assert lru.config.distance_m == 15.0
 
     def test_snr_links_cache_separately_from_distance(self, oracle):
         by_snr = oracle.recommend(RecommendRequest(link=LinkSpec(snr_db=6.0)))
@@ -135,15 +124,14 @@ class TestOracleCaching:
         assert by_snr.evaluation == again.evaluation
 
     def test_cache_info_counters(self, oracle):
-        oracle.precompute([10.0])
         oracle.recommend(RecommendRequest(link=LinkSpec(distance_m=10.0)))
         oracle.recommend(RecommendRequest(link=LinkSpec(distance_m=11.0)))
         oracle.recommend(RecommendRequest(link=LinkSpec(distance_m=11.0)))
         info = oracle.cache_info()
-        assert info["precomputed"] == {"tables": 1, "hits": 1}
+        assert "precomputed" not in info
         assert info["lru"]["hits"] == 1
-        assert info["misses"] == 1
-        assert info["table_builds"] == 2  # precompute + the 11 m miss
+        assert info["lru"]["misses"] == 2
+        assert info["table_builds"] == 2  # the 10 m and 11 m bins
         assert info["grid_size"] == len(SMALL_GRID)
 
     def test_evaluate_matches_direct_model_evaluation(self, oracle, hallway_env):

@@ -222,3 +222,22 @@ class TestMicroBatching:
         finally:
             oracle.release.set()
             service.close()
+
+
+class TestWorkerSurvival:
+    def test_unexpected_error_fails_the_request_not_the_worker(self):
+        class BrokenOnce(Oracle):
+            broken = True
+
+            def table_for(self, link):
+                if BrokenOnce.broken:
+                    BrokenOnce.broken = False
+                    raise ZeroDivisionError("injected")
+                return super().table_for(link)
+
+        with OracleService(BrokenOnce(grid=TINY_GRID), workers=1) as service:
+            with pytest.raises(ServeError, match="ZeroDivisionError"):
+                service.call(request_for(), timeout_s=10.0)
+            assert service.metrics.counter("requests_failed_total") == 1
+            result = service.call(request_for(), timeout_s=10.0)
+            assert isinstance(result, RecommendResult)
